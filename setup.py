@@ -17,12 +17,8 @@ setup(
     package_dir={"": "src"},
     packages=find_packages("src"),
     python_requires=">=3.10",
-    # The core package is dependency-free on purpose.  numpy unlocks the
-    # vectorized ``trace-vec`` backend; without it the backend registry
-    # reports trace-vec as unavailable and cycle/trace work unchanged.
-    extras_require={
-        "vec": ["numpy"],
-    },
+    # Dependency-free on purpose: the standard library is the whole
+    # runtime, which keeps start-up (and every pool worker) small.
     entry_points={
         "console_scripts": [
             "repro-sweep = repro.__main__:main",

@@ -1,1697 +1,23 @@
-"""The vectorized trace backend: numpy index precomputation + fused loops.
+"""``trace-vec``: a name alias of the ``trace`` backend.
 
-:class:`VecTraceBackend` (``--backend trace-vec``) is the third backend.
-It reuses every mechanism of the batched :class:`TraceBackend` — block
-staging, closed-form gap drawing, the in-flight slot window, run-event
-batching — and replaces the per-branch python predictor work on the
-good-path hot loop with two cooperating engines over the *same* columnar
-predictor state (:class:`~repro.branch_predictor.columns.PredictorColumns`):
-
-* :class:`VectorEngine` precomputes, per staged :class:`BranchBlock`, the
-  speculative global history at every branch position and the gshare /
-  bimodal / chooser / JRS (and per-branch-MRT) table indices as numpy
-  array operations.  The key observation making whole-block precompute
-  possible: on the good path a *correctly predicted* conditional branch
-  pushes its predicted == actual direction into the history register, so
-  as long as no misprediction intervenes the history at position ``i`` is
-  a pure function of ``h0`` and the block's outcome column — computed for
-  all positions with one cumulative-sum + one convolution.
-* Codegen-fused step/episode loops (compiled per predictor-stack shape,
-  exactly like the trace backend's ``_compile_method`` templates) consume
-  the precomputed columns and inline the scalar table reads/updates, the
-  path confidence predictor fan-out and the observer run batching —
-  removing the per-branch ``predict_from_block`` / ``resolve_record`` /
-  composite call chain entirely.
-
-Everything that is *not* the straight-line good path falls back to the
-scalar machinery on the shared state: phase-boundary branches step
-through :meth:`TraceSession._step_boundary_branch`, non-conditional
-branches predict through ``FetchEngine.predict_from_block`` (RAS /
-indirect-target state stays live), gated sessions use the scalar
-:class:`GatedTraceSession` unchanged, and a misprediction re-stages the
-remaining block columns from the recovered history (the precomputed
-history column is invalidated by the episode's history repair).  Predictor
-stacks the fused templates do not model — custom path confidence
-predictors, oracle tokens, JRS-less configurations — build a plain
-:class:`TraceSession`; ``trace-vec`` then *is* ``trace``.
-
-The contract is bit-identity: the run-event stream, every statistic and
-every trained table must equal the pure-python trace backend's exactly
-(``tests/test_backends.py::TestVecTraceStreamParity`` pins block sizes
-1/17/256/4096 for paco/counter, gated and wrong-path-heavy configs, and
-the reliability diagrams' float accumulators at the harness level).
-numpy is an optional dependency (the ``repro-paco[vec]`` extra); without
-it the registry reports the backend as unavailable with an install hint
-and cycle/trace keep working untouched.
+It builds exactly what ``trace`` builds (the fused hot loop lives in
+:mod:`repro.backends.trace`), so results are bit-identical to
+``trace``.  The name stays registered so existing ``trace-vec`` job
+identities, result-cache keys and campaign plans keep resolving.
 """
 
 from __future__ import annotations
 
-import linecache
-from typing import Optional
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via subprocess test
-    _np = None
-
-from repro.backends.base import (
-    BackendUnavailableError,
-    Instrumentation,
-    SimulationBackend,
-    Workload,
-)
-from repro.backends.cycle import build_fetch_engine
-from repro.backends.trace import (
-    GatedTraceSession,
-    TraceSession,
-    _has_cycle_work,
-    _indent,
-)
-from repro.branch_predictor.btb import _BTBSet
-from repro.branch_predictor.engine import BranchRecord
-from repro.eval.observers import MultiPredictorObserver
-from repro.eval.profiling import MDCProfiler
-from repro.isa.types import BranchKind
-from repro.pathconf.composite import CompositePathConfidence
-from repro.pathconf.paco import PaCoPredictor
-from repro.pathconf.per_branch_mrt import PerBranchMRTPredictor
-from repro.pathconf.static_mrt import StaticMRTPredictor
-from repro.pathconf.threshold_count import ThresholdAndCountPredictor
+from repro.backends.base import Instrumentation, Workload
+from repro.backends.trace import TraceBackend, TraceSession
 from repro.pipeline.config import MachineConfig
-from repro.pipeline.core import RunEventBatch
-from repro.pipeline.fetch import FetchEngine
-from repro.pipeline.gating import NoGating
 
 
-class VectorEngine:
-    """Whole-block history/index precompute over the shared columns.
-
-    Operates on the same :class:`PredictorColumns` the scalar
-    :class:`PredictorStateEngine` trains in place — staging reads the
-    tables' geometry (masks, history width), never their contents, so a
-    staged block stays valid across in-place training and is invalidated
-    only by a history divergence (misprediction episode), after which the
-    caller re-stages the remaining positions from the repaired history.
-
-    All array math runs in uint64: with ``history_bits <= 32`` (enforced
-    by :func:`_fused_plan`) the shifted seed plus the outcome convolution
-    cannot overflow, and the contribution bits are provably disjoint from
-    the shifted-seed bits, so ``+`` is the ``|`` the hardware computes.
-    """
-
-    def __init__(self, columns, pbm: Optional[PerBranchMRTPredictor] = None
-                 ) -> None:
-        self.columns = columns
-        width = columns.history_bits
-        self._width = width
-        self._hist_mask = _np.uint64(columns.history_mask)
-        self._g_hmask = _np.uint64(columns.gshare_history_mask)
-        self._g_mask = _np.uint64(columns.gshare_mask)
-        self._b_mask = _np.uint64(columns.bimodal_mask)
-        self._c_hmask = _np.uint64(columns.chooser_history_mask)
-        self._c_mask = _np.uint64(columns.chooser_mask)
-        self._j_hmask = _np.uint64(columns.jrs_history_mask)
-        self._j_mask = _np.uint64(columns.jrs_mask)
-        if pbm is not None:
-            self._p_hmask = _np.uint64(pbm._history_mask)
-            self._p_mask = _np.uint64(pbm._mask)
-        else:
-            self._p_hmask = None
-            self._p_mask = None
-        #: kernel[d] == 1 << d: convolving the 0/1 outcome column with it
-        #: packs, at every position, the last ``width`` outcomes into the
-        #: integer the history shift register would hold.
-        self._kernel = _np.array([1 << d for d in range(width)],
-                                 dtype=_np.uint64)
-        self._cond_kind = BranchKind.CONDITIONAL
-
-    def stage(self, block, start: int, stop: int, h0: int):
-        """Precompute history + table-index columns for ``[start, stop)``.
-
-        ``h0`` is the live history value at position ``start``.  Returns
-        ``(col_f, col_g, col_b, col_c, col_j, col_pbm)`` as plain python
-        lists aligned to *absolute* block positions (entries below
-        ``start`` are zero padding); ``col_f`` has one extra trailing
-        entry — the history value *after* the last staged branch — so the
-        consumer can sync the live register at any stop position.
-        ``col_pbm`` is None when no per-branch MRT is attached.
-
-        ``col_f[i]`` is exact as long as every conditional branch in
-        ``[start, i)`` was *correctly* predicted (its speculative push
-        equals its outcome bit); the fused loop re-stages from the live
-        register after any misprediction episode, which restores the
-        invariant for the remaining positions.  The JRS enhanced-index
-        XOR depends on the *predicted* direction, so it is applied
-        scalar by the consuming loop.
-        """
-        m = stop - start
-        pad = [0] * start
-        has_pbm = self._p_mask is not None
-        if m <= 0:
-            return (pad + [h0], list(pad), list(pad), list(pad), list(pad),
-                    list(pad) if has_pbm else None)
-        kinds = block.kind
-        cond_kind = self._cond_kind
-        cond = _np.fromiter((kinds[j] is cond_kind
-                             for j in range(start, stop)),
-                            dtype=bool, count=m)
-        taken = _np.fromiter(block.taken[start:stop], dtype=_np.uint64,
-                             count=m)
-        # counts[i] = number of conditional branches in [start, start+i):
-        # only those push a history bit.
-        counts = _np.empty(m + 1, dtype=_np.int64)
-        counts[0] = 0
-        _np.cumsum(cond, dtype=_np.int64, out=counts[1:])
-        total_cond = int(counts[m])
-        # contrib[c] = the low min(c, width) history bits contributed by
-        # the first c conditional outcomes (newest outcome in bit 0).
-        contrib = _np.zeros(total_cond + 1, dtype=_np.uint64)
-        if total_cond:
-            outcomes = taken[cond]
-            contrib[1:] = _np.convolve(outcomes, self._kernel)[:total_cond]
-        shifts = _np.minimum(counts, self._width).astype(_np.uint64)
-        f = ((_np.uint64(h0) << shifts) + contrib[counts]) & self._hist_mask
-        pcs = _np.fromiter(block.pc[start:stop], dtype=_np.uint64, count=m)
-        pc_bits = pcs >> _np.uint64(2)
-        fm = f[:m]
-        gidx = (pc_bits ^ (fm & self._g_hmask)) & self._g_mask
-        bidx = pc_bits & self._b_mask
-        cidx = (pc_bits ^ (fm & self._c_hmask)) & self._c_mask
-        jidx = (pc_bits ^ (fm & self._j_hmask)) & self._j_mask
-        col_f = pad + f.tolist()
-        col_g = pad + gidx.tolist()
-        col_b = pad + bidx.tolist()
-        col_c = pad + cidx.tolist()
-        col_j = pad + jidx.tolist()
-        if has_pbm:
-            pidx = (pc_bits ^ (fm & self._p_hmask)) & self._p_mask
-            col_pbm = pad + pidx.tolist()
-        else:
-            col_pbm = None
-        return col_f, col_g, col_b, col_c, col_j, col_pbm
-
-
-def _compile_method(name: str, source: str, tag: str):
-    """Compile one generated method; register the source for tracebacks."""
-    filename = f"<repro.backends.vec:{name}:{tag}>"
-    namespace: dict = {}
-    exec(compile(source, filename, "exec"), globals(), namespace)
-    linecache.cache[filename] = (len(source), None,
-                                 source.splitlines(True), filename)
-    return namespace[name]
-
-
-# --------------------------------------------------------------------- #
-# Fused-loop codegen.
-#
-# Like the trace backend's templates, the hot loops are assembled from
-# module-level source fragments and compiled once per predictor-stack
-# shape (which built-in path confidence predictors are attached, and
-# whether any cycle-periodic work exists).  Every fragment is written at
-# zero indentation and placed with the trace module's ``_indent``.
-#
-# Fragment vocabulary: ``record``/``entry`` (the BranchRecord being
-# fetched / resolved), ``mdc`` (its JRS value), ``i`` (block position,
-# good path only), ``pc_bits``/``h`` (wrong-path scalar index inputs),
-# plus the deferred counters declared by the setup fragments.  Deferred
-# counters are purely additive statistics nothing reads mid-run; every
-# value an observer can read at a delivery point (path confidence
-# registers, the low-confidence count, the MRT counters and encoded
-# probabilities) is kept live.
-# --------------------------------------------------------------------- #
-
-_PROLOGUE = '''\
-engine = self.fetch_engine
-stats = self.stats
-window = self._window
-observers = self.observers
-has_observers = bool(observers)
-events = self._events
-path_confidence = engine.path_confidence
-resolve_window = self.resolve_window
-kind_conditional = BranchKind.CONDITIONAL
-frontend = engine.frontend
-confidence = engine.confidence
-state = engine.state_engine
-history = state._history
-hist_mask = history.mask
-btb = state._btb
-btb_sets = btb._sets
-btb_set_mask = btb._set_mask
-btb_ways = btb.ways
-btb_set_cls = _BTBSet
-gshare_table = state._gshare_table
-gshare_threshold = state._gshare_threshold
-gshare_max = state._gshare_max
-bimodal_table = state._bimodal_table
-bimodal_threshold = state._bimodal_threshold
-bimodal_max = state._bimodal_max
-chooser = state._chooser
-jrs_table = state._jrs_table
-jrs_mask_v = state._jrs_mask
-jrs_max = state._jrs_max
-jrs_shift = state._jrs_enhanced_shift
-jrs_enh_bit = (1 << jrs_shift) if jrs_shift >= 0 else 0
-record_cls = BranchRecord
-record_new = BranchRecord.__new__
-thread_id = engine.generator.thread_id
-eng_branches = 0
-eng_cond = 0
-fe_total = 0
-fe_cond = 0
-fe_misp = 0
-fe_cond_misp = 0
-jrs_lookups = 0
-jrs_updates = 0
-btb_lookups = 0
-btb_hits = 0
-btb_evictions = 0
-'''
-
-#: Scalar index masks, needed only by the wrong-path episode (the good
-#: path reads its indices from the precomputed columns).
-_REPLAY_MASKS = '''\
-gshare_hmask = state._gshare_hist_mask
-gshare_mask_v = state._gshare_mask
-bimodal_mask_v = state._bimodal_mask
-chooser_hmask = state._chooser_hist_mask
-chooser_mask_v = state._chooser_mask
-jrs_hmask = state._jrs_hist_mask
-'''
-
-_PBM_MASKS = '''\
-pbm_hmask = pbm._history_mask
-pbm_mask_v = pbm._mask
-'''
-
-# ----- per-member setup / fetch / resolve / squash / sync fragments --- #
-
-_PACO_SETUP = '''\
-paco = self._paco
-mrt = paco.mrt
-mrt_counters = mrt.counters
-mrt_encoded = mrt.encoded_probabilities
-paco_fetched = 0
-paco_resolved = 0
-paco_squashed = 0
-paco_outstanding = 0
-mrt_samples = 0
-'''
-
-_PACO_SETUP_CYCLE = '''\
-mrt_period = mrt.relog_period_cycles
-mrt_last = mrt._last_relog_cycle
-'''
-
-_STATIC_SETUP = '''\
-smrt = self._static
-smrt_encoded = smrt.encoded_probabilities
-smrt_outstanding = 0
-'''
-
-_PBM_SETUP = '''\
-pbm = self._pbm
-pbm_correct = pbm._correct
-pbm_total = pbm._total
-pbm_memo = self._pbm_memo
-pbm_encode = pbm._encoded_for
-pbm_outstanding = 0
-'''
-
-_TC_SETUP = '''\
-tc = self._tc
-tc_threshold = tc.threshold
-tc_fetched = 0
-tc_low = 0
-tc_outstanding = 0
-'''
-
-_PROF_SETUP = '''\
-prof = self._profiler
-prof_correct = prof.correct
-prof_mispredicted = prof.mispredicted
-prof_num_max = prof.num_mdc_values - 1
-'''
-
-_PACO_FETCH = '''\
-paco_fetched += 1
-enc = mrt_encoded[mdc]
-record.encoded_added = enc
-paco.path_confidence_register += enc
-paco_outstanding += 1
-'''
-
-_STATIC_FETCH = '''\
-enc = smrt_encoded[mdc]
-record.static_encoded = enc
-smrt.path_confidence_register += enc
-smrt_outstanding += 1
-'''
-
-# The per-branch MRT's encoded probability is a float log of the entry's
-# (correct, total) counters; memoizing on that pair keeps the fused loop
-# off the float/log path for the (dominant) repeated-counter lookups.
-_PBM_FETCH_TAIL = '''\
-pkey = (pbm_correct[pidx], pbm_total[pidx])
-enc = pbm_memo.get(pkey)
-if enc is None:
-    enc = pbm_encode(pidx)
-    pbm_memo[pkey] = enc
-record.table_index = pidx
-record.pbm_encoded = enc
-pbm.path_confidence_register += enc
-pbm_outstanding += 1
-'''
-
-_PBM_FETCH_GOOD = "pidx = col_pbm[i]\n" + _PBM_FETCH_TAIL
-_PBM_FETCH_WP = ("pidx = (pc_bits ^ (h & pbm_hmask)) & pbm_mask_v\n"
-                 + _PBM_FETCH_TAIL)
-
-_TC_FETCH = '''\
-tc_fetched += 1
-tc_outstanding += 1
-counted = mdc < tc_threshold
-record.counted = counted
-if counted:
-    tc_low += 1
-    tc._low_confidence_outstanding += 1
-'''
-
-_PROF_FETCH = '''\
-record.profile_bucket = mdc if mdc < prof_num_max else prof_num_max
-'''
-
-# Resolve fragments run only for *good-path* records, which are never
-# mispredicted in the fused drains (a mispredicted good-path branch
-# triggers an episode instead of entering the window), so the MRT record
-# is always was_correct=True and the profiler always counts correct.
-_PACO_RESOLVE = '''\
-paco_resolved += 1
-counter = mrt_counters[entry.mdc_value]
-cc = counter.correct
-if cc >= counter._correct_max:
-    counter.correct = (cc >> 1) + 1
-    counter.mispredicted >>= 1
-else:
-    counter.correct = cc + 1
-mrt_samples += 1
-enc = entry.encoded_added
-if enc is not None:
-    entry.encoded_added = None
-    reg = paco.path_confidence_register - enc
-    paco.path_confidence_register = reg if reg > 0 else 0
-    paco_outstanding -= 1
-'''
-
-_STATIC_REMOVE = '''\
-enc = entry.static_encoded
-if enc is not None:
-    entry.static_encoded = None
-    reg = smrt.path_confidence_register - enc
-    smrt.path_confidence_register = reg if reg > 0 else 0
-    smrt_outstanding -= 1
-'''
-
-_PBM_REMOVE = '''\
-enc = entry.pbm_encoded
-if enc is not None:
-    entry.pbm_encoded = None
-    reg = pbm.path_confidence_register - enc
-    pbm.path_confidence_register = reg if reg > 0 else 0
-    pbm_outstanding -= 1
-'''
-
-_PBM_RESOLVE = '''\
-pidx = entry.table_index
-pbm_total[pidx] += 1
-pbm_correct[pidx] += 1
-''' + _PBM_REMOVE
-
-_TC_REMOVE = '''\
-counted = entry.counted
-if counted is not None:
-    entry.counted = None
-    tc_outstanding -= 1
-    if counted:
-        tc._low_confidence_outstanding -= 1
-'''
-
-_PROF_RESOLVE = '''\
-bucket = entry.profile_bucket
-if bucket is not None:
-    entry.profile_bucket = None
-    prof_correct[bucket] += 1
-'''
-
-_PACO_SQUASH = '''\
-paco_squashed += 1
-enc = entry.encoded_added
-if enc is not None:
-    entry.encoded_added = None
-    reg = paco.path_confidence_register - enc
-    paco.path_confidence_register = reg if reg > 0 else 0
-    paco_outstanding -= 1
-'''
-
-_PROF_SQUASH = '''\
-entry.profile_bucket = None
-'''
-
-_SYNC_BASE = '''\
-engine.branches_fetched += eng_branches
-engine.conditional_branches_fetched += eng_cond
-frontend.total_predictions += fe_total
-frontend.conditional_predictions += fe_cond
-frontend.total_mispredictions += fe_misp
-frontend.conditional_mispredictions += fe_cond_misp
-confidence.lookups += jrs_lookups
-confidence.updates += jrs_updates
-btb.lookups += btb_lookups
-btb.hits += btb_hits
-btb.evictions += btb_evictions
-eng_branches = 0
-eng_cond = 0
-fe_total = 0
-fe_cond = 0
-fe_misp = 0
-fe_cond_misp = 0
-jrs_lookups = 0
-jrs_updates = 0
-btb_lookups = 0
-btb_hits = 0
-btb_evictions = 0
-'''
-
-_PACO_SYNC = '''\
-paco.fetched_branches += paco_fetched
-paco.resolved_branches += paco_resolved
-paco.squashed_branches += paco_squashed
-paco._outstanding += paco_outstanding
-mrt.samples_recorded += mrt_samples
-paco_fetched = 0
-paco_resolved = 0
-paco_squashed = 0
-paco_outstanding = 0
-mrt_samples = 0
-'''
-
-_STATIC_SYNC = '''\
-smrt._outstanding += smrt_outstanding
-smrt_outstanding = 0
-'''
-
-_PBM_SYNC = '''\
-pbm._outstanding += pbm_outstanding
-pbm_outstanding = 0
-'''
-
-_TC_SYNC = '''\
-tc.fetched_branches += tc_fetched
-tc.low_confidence_branches += tc_low
-tc._outstanding += tc_outstanding
-tc_fetched = 0
-tc_low = 0
-tc_outstanding = 0
-'''
-
-
-# ----- shared drain / training blocks --------------------------------- #
-
-#: Conditional-branch training on a good-path record (never mispredicted
-#: in the fused drains): the inlined body of
-#: ``PredictorStateEngine.resolve_record`` minus the repair/reset paths
-#: that a misprediction would take.  Uses ``entry`` and ``actual``.
-_TRAIN_COND = '''\
-gshare_correct = entry.gshare_taken == actual
-if gshare_correct != (entry.bimodal_taken == actual):
-    index = entry.chooser_index
-    value = chooser[index]
-    if gshare_correct:
-        if value < 3:
-            chooser[index] = value + 1
-    elif value > 0:
-        chooser[index] = value - 1
-index = entry.gshare_index
-value = gshare_table[index]
-if actual:
-    if value < gshare_max:
-        gshare_table[index] = value + 1
-elif value > 0:
-    gshare_table[index] = value - 1
-index = entry.bimodal_index
-value = bimodal_table[index]
-if actual:
-    if value < bimodal_max:
-        bimodal_table[index] = value + 1
-elif value > 0:
-    bimodal_table[index] = value - 1
-if actual:
-    # btb.update inlined (one call per retired taken conditional).
-    tag = entry.pc >> 2
-    bset = btb_sets[tag & btb_set_mask]
-    if bset is None:
-        bset = btb_set_cls(btb_ways)
-        btb_sets[tag & btb_set_mask] = bset
-    bentries = bset.entries
-    for position, way in enumerate(bentries):
-        if way[0] == tag:
-            way[1] = entry.out_target
-            if position:
-                bentries.insert(0, bentries.pop(position))
-            break
-    else:
-        if len(bentries) >= btb_ways:
-            bentries.pop()
-            btb_evictions += 1
-        bentries.insert(0, [tag, entry.out_target])
-jrs_updates += 1
-index = entry.mdc_index
-value = jrs_table[index]
-if value < jrs_max:
-    jrs_table[index] = value + 1
-'''
-
-
-def _good_drain(resolve_members: str, has_paco: bool = False) -> str:
-    """The good-path drain body (zero indent).
-
-    Simplified relative to the trace backend's general drain by two
-    window invariants that hold throughout the fused good-path loop: the
-    window contains only positive gap runs (wrong-path tails are fully
-    popped by ``_finish_wrongpath``) and only never-mispredicted
-    good-path records (a mispredicted good-path branch takes the episode
-    path instead of entering the window), so the negative-gap arm, the
-    mispredict-retire counters and the ``run_goodpath`` recomputation
-    all drop out.
-    """
-    return '''\
-entry = window[0]
-if type(entry) is int:
-    take = entry if entry <= excess else excess
-    good_executed += take
-    retired += take
-    run_execute += take
-    if take < entry:
-        window[0] = entry - take
-    else:
-        window.popleft()
-    excess -= take
-    inflight -= take
-else:
-    window.popleft()
-    inflight -= 1
-    excess -= 1
-    if has_observers:
-''' + _indent(_runs_delivery("entry.path_token is not None", has_paco), 2) \
-    + '''\
-    run_fetch = 0
-    run_execute = 0
-    if entry.is_conditional:
-        entry.resolved = True
-        actual = entry.out_taken
-''' + _indent(_TRAIN_COND, 2) + _indent(resolve_members, 2) + '''\
-        cond_retired += 1
-    else:
-        engine.resolve_record(entry)
-    good_executed += 1
-    retired += 1
-    branches_retired += 1
-    run_execute += 1
-'''
-
-
-def _episode_drain(resolve_members: str, squash_members: str,
-                   has_paco: bool = False) -> str:
-    """The wrong-path-episode drain body (zero indent).
-
-    The general form: gap runs can be positive (pre-trigger good-path
-    slots) or negative, and record entries can be good-path (resolve and
-    train) or wrong-path (squash; a wrong-path mispredict repairs the
-    *deferred* history local ``h``, exactly the live-register repair the
-    scalar engine performs).  ``run_goodpath`` stays False for the whole
-    episode, and good-path records are never mispredicted (window
-    invariant), so those recomputations drop out here too.
-    """
-    return '''\
-entry = window[0]
-if type(entry) is int:
-    if entry > 0:
-        take = entry if entry <= excess else excess
-        good_executed += take
-        retired += take
-    else:
-        take = -entry if -entry <= excess else excess
-        bad_executed += take
-    run_execute += take
-    if take < (entry if entry > 0 else -entry):
-        window[0] = entry - take if entry > 0 else entry + take
-    else:
-        window.popleft()
-    excess -= take
-    inflight -= take
-else:
-    window.popleft()
-    inflight -= 1
-    excess -= 1
-    if has_observers:
-''' + _indent(_runs_delivery("entry.path_token is not None", has_paco), 2) \
-    + '''\
-    run_fetch = 0
-    run_execute = 0
-    if entry.is_conditional:
-        entry.resolved = True
-        actual = entry.out_taken
-        if entry.on_goodpath:
-''' + _indent(_TRAIN_COND, 3) + _indent(resolve_members, 3) + '''\
-        else:
-            if entry.mispredicted:
-                h = (((entry.history & hist_mask) << 1)
-                     | (1 if actual else 0)) & hist_mask
-''' + _indent(squash_members, 3) + '''\
-    else:
-        engine.resolve_record(entry)
-    if entry.on_goodpath:
-        good_executed += 1
-        retired += 1
-        branches_retired += 1
-        if entry.is_conditional:
-            cond_retired += 1
-    else:
-        bad_executed += 1
-    run_execute += 1
-'''
-
-
-#: The per-branch cycle tick, specialized to the one cycle-periodic
-#: machine the fused plan admits (PaCo's re-log pass): buffered events
-#: always flush pre-tick exactly as the scalar tick does, but the
-#: ``on_cycle`` *call* — a composite fan-out plus ``maybe_relog``'s own
-#: period check, every branch — is guarded by the same period
-#: comparison on hoisted locals, which is what makes the fused loop's
-#: tick nearly free.  When the pass runs, it returns True by
-#: construction, so the open run closes unconditionally.
-_TICK = '''\
-if has_observers and events:
-    for observer in observers:
-        observer.record_runs(events)
-    del events[:]
-if cycle - mrt_last >= mrt_period:
-    path_confidence.on_cycle(cycle)
-    if has_observers:
-        if run_fetch:
-            events.extend(("fetch", run_goodpath, cycle, run_fetch))
-        if run_execute:
-            events.extend(("execute", run_goodpath, cycle, run_execute))
-        if events:
-            for observer in observers:
-                observer.record_runs(events)
-            del events[:]
-    run_fetch = 0
-    run_execute = 0
-    mrt_last = mrt._last_relog_cycle
-'''
-
-
-# ----- inline observer delivery ---------------------------------------- #
-
-#: Hoists for the inlined single-(PaCo, diagram) observer delivery.
-#: ``self._fp_diag`` is resolved per block by ``_step_block``: the
-#: reliability diagram when the attached observers are exactly one
-#: :class:`MultiPredictorObserver` over the session's own PaCo instance
-#: (the fig8/fig9 sweep shape), ``None`` otherwise.
-_FP_HOISTS = '''\
-fp_diag = self._fp_diag
-fp_probs = self._fp_probs
-if fp_diag is not None:
-    fp_bins = fp_diag.bins
-    fp_nb = fp_diag.num_bins
-'''
-
-#: The inlined delivery body, spliced over every
-#: ``for observer in observers: observer.record_runs(events)`` site by
-#: :func:`_inline_deliveries`.  The fast arm replays the exact arithmetic
-#: of ``MultiPredictorObserver.record_runs`` over one ``(PaCo, diagram)``
-#: pair — ``ReliabilityDiagram.record`` for single-run batches,
-#: the shared fold plus ``record_folded`` for longer ones — term by term
-#: and in the same order, so the diagram floats stay bit-identical to
-#: the generic path the scalar backend takes.  The probability memo is
-#: keyed on the raw register (PaCo's probability is a pure function of
-#: it, via the memoized decode), replacing two attribute calls per
-#: delivery with one dict probe.
-_FAST_DELIVER = '''\
-if fp_diag is None:
-    for observer in observers:
-        observer.record_runs(events)
-else:
-    fp_reg = paco.path_confidence_register
-    fp_prob = fp_probs.get(fp_reg)
-    if fp_prob is None:
-        if len(fp_probs) > (1 << 20):  # unbounded-growth guard
-            fp_probs.clear()
-        fp_prob = paco.goodpath_probability()
-        fp_probs[fp_reg] = fp_prob
-    fp_bi = int(fp_prob * fp_nb)
-    if fp_bi >= fp_nb:
-        fp_bi = fp_nb - 1
-    fp_bucket = fp_bins[fp_bi]
-    if len(events) == 4:
-        fp_w = events[3]
-        fp_bucket.predicted_sum += fp_prob * fp_w
-        fp_bucket.instances += fp_w
-        fp_diag.total_instances += fp_w
-        if events[1]:
-            fp_bucket.goodpath_instances += fp_w
-            fp_diag.total_goodpath += fp_w
-    else:
-        fp_inst = 0
-        fp_good = 0
-        fp_ps = fp_bucket.predicted_sum
-        for fp_i in range(3, len(events), 4):
-            fp_w = events[fp_i]
-            fp_inst += fp_w
-            fp_ps += fp_prob * fp_w
-            if events[fp_i - 2]:
-                fp_good += fp_w
-        fp_bucket.predicted_sum = fp_ps
-        fp_bucket.instances += fp_inst
-        fp_bucket.goodpath_instances += fp_good
-        fp_diag.total_goodpath += fp_good
-        fp_diag.total_instances += fp_inst
-'''
-
-
-#: The pure-local fast arm of :func:`_runs_delivery`: fold the 1-2 open
-#: runs straight into the diagram without materializing event tuples.
-#: Term order matches the tuple path exactly — the fetch run's
-#: ``predicted_sum`` contribution before the execute run's, the integer
-#: totals added once per delivery — so the floats stay bit-identical.
-_LOCAL_DELIVER = '''\
-fp_reg = paco.path_confidence_register
-fp_prob = fp_probs.get(fp_reg)
-if fp_prob is None:
-    if len(fp_probs) > (1 << 20):  # unbounded-growth guard
-        fp_probs.clear()
-    fp_prob = paco.goodpath_probability()
-    fp_probs[fp_reg] = fp_prob
-fp_bi = int(fp_prob * fp_nb)
-if fp_bi >= fp_nb:
-    fp_bi = fp_nb - 1
-fp_bucket = fp_bins[fp_bi]
-fp_w = run_fetch + run_execute
-if run_fetch:
-    fp_bucket.predicted_sum += fp_prob * run_fetch
-if run_execute:
-    fp_bucket.predicted_sum += fp_prob * run_execute
-fp_bucket.instances += fp_w
-fp_diag.total_instances += fp_w
-if run_goodpath:
-    fp_bucket.goodpath_instances += fp_w
-    fp_diag.total_goodpath += fp_w
-'''
-
-
-def _runs_delivery(cond: str, has_paco: bool) -> str:
-    """One site's close-the-open-runs + deliver block (zero indent).
-
-    ``cond`` is the site's delivery condition ("" = deliver whenever
-    events are pending).  The generic shape buffers the open runs as
-    event tuples and delivers the batch; in paco builds, when delivery
-    is due and nothing is already buffered, the open runs fold straight
-    into the diagram without touching the events list at all (the
-    post-pass :func:`_inline_deliveries` still rewrites the generic
-    arm's delivery for the buffered case).
-    """
-    extend = '''\
-if run_fetch:
-    events.extend(("fetch", run_goodpath, cycle, run_fetch))
-if run_execute:
-    events.extend(("execute", run_goodpath, cycle, run_execute))
-'''
-    deliver_head = f"if events and {cond}:" if cond else "if events:"
-    generic = (extend + deliver_head + '''
-    for observer in observers:
-        observer.record_runs(events)
-    del events[:]
-''')
-    if not has_paco:
-        return generic
-    fast_head = ("if fp_diag is not None and not events"
-                 + (f" and {cond}" if cond else "") + ":\n")
-    return (fast_head
-            + _indent("if run_fetch or run_execute:\n", 1)
-            + _indent(_LOCAL_DELIVER, 2)
-            + "else:\n"
-            + _indent(generic, 1))
-
-
-def _inline_deliveries(source: str) -> str:
-    """Splice :data:`_FAST_DELIVER` over every generic delivery site.
-
-    Every observer delivery in the generated sources is the literal
-    three-line ``for observer in observers: observer.record_runs(events)``
-    / ``del events[:]`` sequence; this rewrites each occurrence (at its
-    own indentation) into the fast-path branch, keeping the trailing
-    ``del`` shared by both arms.
-    """
-    lines = source.split("\n")
-    out: list = []
-    i = 0
-    replaced = 0
-    while i < len(lines):
-        line = lines[i]
-        stripped = line.lstrip()
-        if (stripped == "for observer in observers:"
-                and i + 2 < len(lines)
-                and lines[i + 1].lstrip() == "observer.record_runs(events)"
-                and lines[i + 2].lstrip() == "del events[:]"):
-            indent = line[:len(line) - len(stripped)]
-            for fast_line in _FAST_DELIVER.rstrip("\n").split("\n"):
-                out.append(indent + fast_line if fast_line else fast_line)
-            out.append(lines[i + 2])
-            replaced += 1
-            i += 3
-            continue
-        out.append(line)
-        i += 1
-    if not replaced:  # a fragment edit broke the pattern — fail loudly
-        raise AssertionError("no observer delivery sites found to inline")
-    return "\n".join(out)
-
-
-# ----- inline predict fragments ---------------------------------------- #
-
-#: Good-path conditional predict, reading every table index from the
-#: precomputed columns (the inlined body of ``predict_columns`` +
-#: ``predict_from_block`` for the conditional/good-path case).  The
-#: speculative history push is deferred — ``col_f`` already encodes it
-#: for every later position — and materialized into the live register
-#: only when a misprediction hands control to the scalar episode
-#: machinery.  ``%(fetch_members)s`` receives the path confidence
-#: fan-out; ``%(episode)s`` the sync/replay/re-stage block.
-_PREDICT_GOOD = '''\
-hist = col_f[i]
-pc = block_pc[i]
-gshare_taken = gshare_table[col_g[i]] >= gshare_threshold
-bimodal_taken = bimodal_table[col_b[i]] >= bimodal_threshold
-chose_gshare = chooser[col_c[i]] >= 2
-taken = gshare_taken if chose_gshare else bimodal_taken
-btb_lookups += 1
-tag = pc >> 2
-bset = btb_sets[tag & btb_set_mask]
-btb_target = None
-if bset is not None:
-    bentries = bset.entries
-    for position, way in enumerate(bentries):
-        if way[0] == tag:
-            if position:
-                bentries.insert(0, bentries.pop(position))
-            btb_hits += 1
-            btb_target = way[1]
-            break
-%(record_init)srecord.target = btb_target if taken else None
-record.btb_hit = btb_target is not None
-record.gshare_taken = gshare_taken
-record.gshare_index = col_g[i]
-record.bimodal_taken = bimodal_taken
-record.bimodal_index = col_b[i]
-record.chooser_index = col_c[i]
-record.chose_gshare = chose_gshare
-ji = col_j[i]
-if taken and jrs_enh_bit:
-    ji = (ji ^ jrs_enh_bit) & jrs_mask_v
-jrs_lookups += 1
-record.mdc_index = ji
-mdc = jrs_table[ji]
-record.mdc_value = mdc
-eng_branches += 1
-eng_cond += 1
-fe_total += 1
-fe_cond += 1
-actual = block_taken[i]
-mispredicted = taken != actual
-record.mispredicted = mispredicted
-if mispredicted:
-    fe_misp += 1
-    fe_cond_misp += 1
-record.path_token = record
-%(fetch_members)srecord.kind = kind_conditional
-record.out_taken = actual
-record.out_target = block_target[i]
-record.on_goodpath = True
-record.seq = seq
-i += 1
-good_fetched += 1
-cycle += 1
-run_fetch += 1
-if mispredicted:
-    # The wrong-path switch (predict_from_block, inlined), plus the
-    # speculative push the scalar predict made unconditionally: the
-    # episode machinery reads the live register.
-    engine.on_wrong_path = True
-    engine._pending_mispredict_seq = seq
-    history.value = ((hist << 1) | (1 if taken else 0)) & hist_mask
-%(episode)srun_goodpath = True
-window.append(record)
-inflight += 1
-'''
-
-#: Wrong-path conditional predict inside the fused episode: scalar index
-#: arithmetic from the deferred history local ``h`` (bit-identical to the
-#: live-register reads the scalar episode performs).
-_PREDICT_WP = '''\
-pc = wp_pc[g]
-pc_bits = pc >> 2
-gidx = (pc_bits ^ (h & gshare_hmask)) & gshare_mask_v
-gshare_taken = gshare_table[gidx] >= gshare_threshold
-bidx = pc_bits & bimodal_mask_v
-bimodal_taken = bimodal_table[bidx] >= bimodal_threshold
-cidx = (pc_bits ^ (h & chooser_hmask)) & chooser_mask_v
-chose_gshare = chooser[cidx] >= 2
-taken = gshare_taken if chose_gshare else bimodal_taken
-btb_lookups += 1
-bset = btb_sets[pc_bits & btb_set_mask]
-btb_target = None
-if bset is not None:
-    bentries = bset.entries
-    for position, way in enumerate(bentries):
-        if way[0] == pc_bits:
-            if position:
-                bentries.insert(0, bentries.pop(position))
-            btb_hits += 1
-            btb_target = way[1]
-            break
-%(record_init)srecord.target = btb_target if taken else None
-record.btb_hit = btb_target is not None
-record.gshare_taken = gshare_taken
-record.gshare_index = gidx
-record.bimodal_taken = bimodal_taken
-record.bimodal_index = bidx
-record.chooser_index = cidx
-record.chose_gshare = chose_gshare
-ji = (pc_bits ^ (h & jrs_hmask)) & jrs_mask_v
-if taken and jrs_enh_bit:
-    ji = (ji ^ jrs_enh_bit) & jrs_mask_v
-jrs_lookups += 1
-record.mdc_index = ji
-mdc = jrs_table[ji]
-record.mdc_value = mdc
-eng_branches += 1
-eng_cond += 1
-fe_total += 1
-fe_cond += 1
-actual = wp_taken[g]
-mispredicted = taken != actual
-record.mispredicted = mispredicted
-if mispredicted:
-    fe_misp += 1
-    fe_cond_misp += 1
-record.path_token = record
-%(fetch_members)srecord.kind = kind_conditional
-record.out_taken = actual
-record.out_target = wp_target[g]
-record.on_goodpath = False
-record.seq = seq
-h = ((h << 1) | (1 if taken else 0)) & hist_mask
-bad_fetched += 1
-cycle += 1
-run_fetch += 1
-window.append(record)
-inflight += 1
-'''
-
-
-def _record_init(history_expr: str, sid_expr: str, has_paco: bool,
-                 has_static: bool, has_pbm: bool, has_tc: bool,
-                 has_prof: bool) -> str:
-    """Inline ``BranchRecord`` construction: ``__new__`` plus exactly the
-    slot writes the surrounding predict fragment does not perform itself.
-
-    ``BranchRecord.__init__`` stores 24 defaults only for the predict
-    fragment to overwrite half of them; allocating with ``__new__`` and
-    writing each live slot once drops a call plus the redundant stores
-    from every fetched conditional.  Slots owned by attached path
-    confidence predictors are written by their fetch members, so the
-    defaults emitted here cover only the detached ones — every slot
-    ``__init__`` would have initialized is still written exactly once (a
-    missed slot would raise ``AttributeError`` loudly downstream).
-    """
-    lines = [
-        "record = record_new(record_cls)",
-        "record.pc = pc",
-        "record.predicted_taken = taken",
-        "record.taken = taken",
-        f"record.history = {history_expr}",
-        f"record.static_branch_id = {sid_expr}",
-        "record.thread_id = thread_id",
-        "record.resolved = False",
-        "record.is_conditional = True",
-    ]
-    if not has_paco:
-        lines.append("record.encoded_added = None")
-    if not has_static:
-        lines.append("record.static_encoded = None")
-    if not has_pbm:
-        lines.append("record.table_index = 0")
-        lines.append("record.pbm_encoded = None")
-    if not has_tc:
-        lines.append("record.counted = None")
-    if not has_prof:
-        lines.append("record.profile_bucket = None")
-    return "\n".join(lines) + "\n"
-
-
-def _build_step_source(has_paco: bool, has_static: bool, has_pbm: bool,
-                       has_tc: bool, has_prof: bool, cycle_work: bool) -> str:
-    """Assemble the fused ``_vstep_block`` source for one stack shape."""
-    setup = ""
-    fetch_members = ""
-    resolve_members = ""
-    sync = _SYNC_BASE
-    if has_paco:
-        setup += _PACO_SETUP
-        if cycle_work:
-            setup += _PACO_SETUP_CYCLE
-        fetch_members += _PACO_FETCH
-        resolve_members += _PACO_RESOLVE
-        sync += _PACO_SYNC
-    if has_static:
-        setup += _STATIC_SETUP
-        fetch_members += _STATIC_FETCH
-        resolve_members += _STATIC_REMOVE
-        sync += _STATIC_SYNC
-    if has_pbm:
-        setup += _PBM_SETUP + _PBM_MASKS
-        fetch_members += _PBM_FETCH_GOOD
-        resolve_members += _PBM_RESOLVE
-        sync += _PBM_SYNC
-    if has_tc:
-        setup += _TC_SETUP
-        fetch_members += _TC_FETCH
-        resolve_members += _TC_REMOVE
-        sync += _TC_SYNC
-    if has_prof:
-        setup += _PROF_SETUP
-        fetch_members += _PROF_FETCH
-        resolve_members += _PROF_RESOLVE
-
-    stat_sync = '''\
-stats.goodpath_fetched += good_fetched
-engine.goodpath_fetched += good_fetched
-stats.goodpath_executed += good_executed
-stats.badpath_executed += bad_executed
-stats.retired_instructions += retired
-stats.branches_retired += branches_retired
-stats.conditional_branches_retired += cond_retired
-'''
-    # Take the (rare) misprediction episode through the fused episode
-    # method: materialize every deferred delta, replay, then — only when
-    # the repaired history diverged from the staged F column — splice the
-    # short divergent span back in.  A mispredicted conditional trigger
-    # repairs history to ``(record.history << 1) | actual``, which is
-    # exactly what staging (actual outcomes) computed, so the staged tail
-    # stays valid; only non-conditional triggers (whose resolve never
-    # repairs history, leaving the wrong-path speculative bits live)
-    # actually diverge, and their divergence shifts out of the history
-    # window after ``history_bits`` conditional outcomes.  The splice
-    # mutates the hoisted column lists in place, so no reloads.
-    restage = '''\
-if history.value != col_f[i]:
-    self._vstage_span(i)
-'''
-    if has_paco and cycle_work:
-        restage += "mrt_last = mrt._last_relog_cycle\n"
-    episode = ('''\
-run_goodpath = False
-self._next_seq = next_seq
-self._cycle = cycle
-self._inflight = inflight
-self._run_fetch = run_fetch
-self._run_execute = run_execute
-self._run_goodpath = run_goodpath
-''' + stat_sync + '''\
-good_fetched = good_executed = bad_executed = retired = 0
-branches_retired = cond_retired = 0
-''' + sync + '''\
-self._vreplay_wrongpath(record)
-next_seq = self._next_seq
-cycle = self._cycle
-inflight = self._inflight
-run_fetch = self._run_fetch
-run_execute = self._run_execute
-run_goodpath = self._run_goodpath
-retired_base = stats.retired_instructions
-''' + restage + '''\
-took_episode = True
-break
-''')
-
-    predict_good = _PREDICT_GOOD % {
-        "fetch_members": fetch_members,
-        "episode": _indent(episode, 1),
-        "record_init": _record_init("hist", "block_sid[i]", has_paco,
-                                    has_static, has_pbm, has_tc, has_prof),
-    }
-    hoists = '''\
-block = self._block
-block_pc = block.pc
-block_kinds = block.kind
-block_taken = block.taken
-block_target = block.target
-block_sid = block.static_branch_id
-col_f = self._col_f
-col_g = self._col_g
-col_b = self._col_b
-col_c = self._col_c
-col_j = self._col_j
-'''
-    if has_pbm:
-        hoists += "col_pbm = self._col_pbm\n"
-    if has_paco:
-        hoists += _FP_HOISTS
-    hoists += '''\
-gaps = self._gap_buf
-gap_pos = self._gap_pos
-i = self._branch_pos
-stop = self._branch_len
-next_seq = self._next_seq
-cycle = self._cycle
-inflight = self._inflight
-run_fetch = self._run_fetch
-run_execute = self._run_execute
-run_goodpath = self._run_goodpath
-retired_base = stats.retired_instructions
-good_fetched = 0
-good_executed = 0
-bad_executed = 0
-retired = 0
-branches_retired = 0
-cond_retired = 0
-'''
-
-    source = ('''\
-def _vstep_block(self, max_instructions, max_cycles):
-    """Fused-predictor twin of ``TraceSession._step_block``.
-
-    Same control skeleton (gap accounting, the double-drain loop, the
-    per-branch tick), with conditional predict/resolve inlined against
-    the precomputed columns and the simplified good-path drain (see
-    ``_good_drain``).  Mispredicted good-path branches never retire
-    here — they hand off to the episode immediately — so the
-    mispredict-retired stat deltas are identically zero and drop out
-    of the sync lists.
-    """
-'''
-              + _indent(_PROLOGUE + setup + hoists, 1) + '''
-    while i < stop:
-        if retired_base + retired >= max_instructions or cycle >= max_cycles:
-            break
-        gap = gaps[gap_pos]
-        gap_pos += 1
-        if gap:
-            good_fetched += gap
-            cycle += gap
-            run_fetch += gap
-            if window and type(window[-1]) is int and window[-1] > 0:
-                window[-1] += gap
-            else:
-                window.append(gap)
-            inflight += gap
-        took_episode = False
-        predicted = False
-        while True:
-            if inflight > resolve_window:
-                excess = inflight - resolve_window
-                while excess > 0:
-'''
-              + _indent(_good_drain(resolve_members, has_paco), 5) + '''\
-            if predicted:
-                break
-            predicted = True
-            kind = block_kinds[i]
-            if has_observers:
-''' + _indent(_runs_delivery("kind is kind_conditional", has_paco), 4) + '''\
-            run_fetch = 0
-            run_execute = 0
-            seq = next_seq
-            next_seq += 1
-            if kind is kind_conditional:
-'''
-              + _indent(predict_good, 4) + '''\
-            else:
-                # Non-conditional branches predict through the live
-                # scalar engine (RAS / indirect-target state): restore
-                # the deferred history register first.
-                history.value = col_f[i]
-                record = engine.predict_from_block(block, i, seq)
-                i += 1
-                good_fetched += 1
-                cycle += 1
-                run_fetch += 1
-                if engine.on_wrong_path:
-'''
-              + _indent(episode, 5) + '''\
-                run_goodpath = True
-                window.append(record)
-                inflight += 1
-        if took_episode:
-            continue
-'''
-              + (_indent(_TICK, 2) if cycle_work else "") + '''
-    self._branch_pos = i
-    self._gap_pos = gap_pos
-    self._next_seq = next_seq
-    self._cycle = cycle
-    self._inflight = inflight
-    self._run_fetch = run_fetch
-    self._run_execute = run_execute
-    self._run_goodpath = run_goodpath
-    history.value = col_f[i]
-'''
-              + _indent(stat_sync + sync, 1))
-    if has_paco:
-        source = _inline_deliveries(source)
-    return source
-
-
-def _build_replay_source(has_paco: bool, has_static: bool, has_pbm: bool,
-                         has_tc: bool, has_prof: bool,
-                         cycle_work: bool) -> str:
-    """Assemble the fused ``_vreplay_wrongpath`` source for one shape."""
-    setup = _REPLAY_MASKS
-    fetch_members = ""
-    resolve_members = ""
-    squash_members = ""
-    sync = _SYNC_BASE
-    if has_paco:
-        setup += _PACO_SETUP
-        if cycle_work:
-            setup += _PACO_SETUP_CYCLE
-        fetch_members += _PACO_FETCH
-        resolve_members += _PACO_RESOLVE
-        squash_members += _PACO_SQUASH
-        sync += _PACO_SYNC
-    if has_static:
-        setup += _STATIC_SETUP
-        fetch_members += _STATIC_FETCH
-        resolve_members += _STATIC_REMOVE
-        squash_members += _STATIC_REMOVE
-        sync += _STATIC_SYNC
-    if has_pbm:
-        setup += _PBM_SETUP + _PBM_MASKS
-        fetch_members += _PBM_FETCH_WP
-        resolve_members += _PBM_RESOLVE
-        squash_members += _PBM_REMOVE
-        sync += _PBM_SYNC
-    if has_tc:
-        setup += _TC_SETUP
-        fetch_members += _TC_FETCH
-        resolve_members += _TC_REMOVE
-        squash_members += _TC_REMOVE
-        sync += _TC_SYNC
-    if has_prof:
-        setup += _PROF_SETUP
-        fetch_members += _PROF_FETCH
-        resolve_members += _PROF_RESOLVE
-        squash_members += _PROF_SQUASH
-    if has_paco:
-        setup += _FP_HOISTS
-
-    predict_wp = _PREDICT_WP % {
-        "fetch_members": fetch_members,
-        "record_init": _record_init("h", "wp_sid[g]", has_paco, has_static,
-                                    has_pbm, has_tc, has_prof),
-    }
-
-    source = ('''\
-def _vreplay_wrongpath(self, trigger):
-    """Fused-predictor twin of ``TraceSession._replay_wrongpath``.
-
-    Same episode skeleton, with the wrong-path predicts inlined and the
-    history register deferred to the local ``h`` for the episode's
-    extent (wrong-path mispredict repairs write ``h``, exactly the
-    live-register repairs the scalar engine performs; the register is
-    restored before ``_finish_wrongpath`` takes the scalar path).
-    """
-'''
-              + _indent(_PROLOGUE + setup, 1) + '''\
-    wp_gaps = self._wp_gap_buf
-    n_gaps, n_branches = self._wp_gap_rng.geometric_episode(
-        self._log_one_minus_p, wp_gaps, self.mispredict_window)
-    wp_block = self._wp_episode_block
-    if n_branches:
-        engine.wrongpath_generator.next_branch_block(wp_block, n_branches)
-    wp_pc = wp_block.pc
-    wp_taken = wp_block.taken
-    wp_target = wp_block.target
-    wp_sid = wp_block.static_branch_id
-    h = history.value
-    next_seq = self._next_seq
-    cycle = self._cycle
-    inflight = self._inflight
-    run_fetch = self._run_fetch
-    run_execute = self._run_execute
-    run_goodpath = self._run_goodpath
-    bad_fetched = 0
-    good_executed = 0
-    bad_executed = 0
-    retired = 0
-    branches_retired = 0
-    cond_retired = 0
-
-    for g in range(n_gaps):
-        gap = wp_gaps[g]
-        if gap:
-            bad_fetched += gap
-            cycle += gap
-            run_fetch += gap
-            if window and type(window[-1]) is int and window[-1] < 0:
-                window[-1] -= gap
-            else:
-                window.append(-gap)
-            inflight += gap
-        fetched_branch = False
-        while True:
-            if inflight > resolve_window:
-                excess = inflight - resolve_window
-                while excess > 0:
-'''
-              + _indent(_episode_drain(resolve_members, squash_members,
-                                       has_paco), 5)
-              + '''\
-            if fetched_branch or g >= n_branches:
-                break
-            fetched_branch = True
-            if has_observers:
-''' + _indent(_runs_delivery("", has_paco), 4) + '''\
-            run_fetch = 0
-            run_execute = 0
-            seq = next_seq
-            next_seq += 1
-'''
-              + _indent(predict_wp, 3) + '''\
-        if g >= n_branches:
-            break
-'''
-              + (_indent(_TICK, 2) if cycle_work else "") + '''
-    self._next_seq = next_seq
-    self._cycle = cycle
-    self._inflight = inflight
-    self._run_fetch = run_fetch
-    self._run_execute = run_execute
-    self._run_goodpath = run_goodpath
-    history.value = h
-    stats.badpath_fetched += bad_fetched
-    engine.badpath_fetched += bad_fetched
-    stats.goodpath_executed += good_executed
-    stats.badpath_executed += bad_executed
-    stats.retired_instructions += retired
-    stats.branches_retired += branches_retired
-    stats.conditional_branches_retired += cond_retired
-'''
-              + _indent(sync, 1) + '''\
-    self._finish_wrongpath(
-        trigger, self.mispredict_window - self.config.frontend_depth)
-''')
-    if has_paco:
-        source = _inline_deliveries(source)
-    return source
-
-
-_FUSED_CACHE: dict = {}
-
-
-def _fused_methods(flags):
-    """Compile (or fetch cached) fused step/replay methods for one shape."""
-    methods = _FUSED_CACHE.get(flags)
-    if methods is None:
-        tag = "".join("1" if flag else "0" for flag in flags)
-        methods = (
-            _compile_method("_vstep_block", _build_step_source(*flags), tag),
-            _compile_method("_vreplay_wrongpath",
-                            _build_replay_source(*flags), tag),
-        )
-        _FUSED_CACHE[flags] = methods
-    return methods
-
-
-# --------------------------------------------------------------------- #
-# The fused plan: which stacks the generated loops model exactly.
-# --------------------------------------------------------------------- #
-
-_MEMBER_KEYS = {
-    PaCoPredictor: "paco",
-    StaticMRTPredictor: "static",
-    PerBranchMRTPredictor: "pbm",
-    ThresholdAndCountPredictor: "tc",
-    MDCProfiler: "profiler",
-}
-
-
-def _fused_plan(fetch_engine: FetchEngine):
-    """Decide whether the fused loops model this engine's stack exactly.
-
-    Returns the ``{key: predictor}`` member map when they do, or None to
-    fall back to the scalar :class:`TraceSession` (which is always
-    correct).  The checks are exact-type and exhaustive on purpose:
-    anything the generated fragments were not written against — custom
-    path confidence predictors, subclassed members, oracle tokens,
-    JRS-less engines, member-triggered index-range errors the scalar
-    path would raise, histories wider than the uint64 staging math
-    supports — takes the scalar session, keeping bit-identity trivially.
-    """
-    if _np is None:
-        return None
-    confidence = fetch_engine.confidence
-    if confidence is None:
-        return None
-    columns = fetch_engine.state_engine.columns
-    if columns.jrs_table is None:
-        return None
-    if columns.history_bits > 32:
-        return None
-    path_confidence = fetch_engine.path_confidence
-    members = {}
-    if type(path_confidence) is CompositePathConfidence:
-        if not path_confidence._shared_record_tokens:
-            return None
-        for predictor in path_confidence.predictors:
-            key = _MEMBER_KEYS.get(type(predictor))
-            if key is None or key in members:
-                return None
-            members[key] = predictor
-        cycle_predictors = list(path_confidence._cycle_predictors)
-    elif type(path_confidence) is PaCoPredictor:
-        members["paco"] = path_confidence
-        cycle_predictors = [path_confidence]
-    elif type(path_confidence) is ThresholdAndCountPredictor:
-        members["tc"] = path_confidence
-        cycle_predictors = []
-    else:
-        return None
-    paco = members.get("paco")
-    # The specialized tick models exactly one cycle-periodic machine:
-    # PaCo's re-log pass.  Any other cycle work (or a disagreement with
-    # _has_cycle_work's conservative answer) falls back.
-    if cycle_predictors != ([paco] if paco is not None else []):
-        return None
-    if _has_cycle_work(path_confidence) != (paco is not None):
-        return None
-    num_mdc = confidence.num_mdc_values
-    if paco is not None and paco.mrt.num_buckets < num_mdc:
-        return None
-    static = members.get("static")
-    if static is not None and static.num_mdc_values < num_mdc:
-        return None
-    return members
-
-
-class VecTraceSession(TraceSession):
-    """A trace replay with vectorized staging and fused predictor loops.
-
-    Construction requires a *member map* from :func:`_fused_plan`; the
-    session compiles (or reuses) the fused step/episode methods for that
-    stack shape and keeps the staged index columns (``_col_*``) aligned
-    with the live block buffer.  Every fallback path — phase boundaries,
-    non-conditional predicts, the episode tail — runs the inherited
-    scalar machinery on the same shared state.
-    """
-
-    def __init__(self, fetch_engine: FetchEngine, config: MachineConfig,
-                 observers, resolve_window: int, mispredict_window: int,
-                 members: dict, block_size: Optional[int] = None) -> None:
-        super().__init__(fetch_engine, config, observers, resolve_window,
-                         mispredict_window, block_size=block_size)
-        #: The inlined-delivery target: the reliability diagram when the
-        #: attached observers are exactly one MultiPredictorObserver over
-        #: this session's PaCo (resolved per block by ``_step_block``),
-        #: None otherwise (generic delivery).
-        self._fp_diag = None
-        #: register -> decoded probability memo for the inlined delivery.
-        self._fp_probs: dict = {}
-        self._paco = members.get("paco")
-        self._static = members.get("static")
-        self._pbm = members.get("pbm")
-        self._tc = members.get("tc")
-        self._profiler = members.get("profiler")
-        #: Encoded-probability memo for the per-branch MRT, keyed by the
-        #: entry's (correct, total) counters — the exact inputs of
-        #: ``_encoded_for`` — so repeated lookups skip the float/log math.
-        self._pbm_memo: dict = {}
-        flags = (self._paco is not None, self._static is not None,
-                 self._pbm is not None, self._tc is not None,
-                 self._profiler is not None, self._cycle_work_possible)
-        self._vstep, self._vreplay = _fused_methods(flags)
-        self.vector_engine = VectorEngine(fetch_engine.state_engine.columns,
-                                          self._pbm)
-        self._col_f: list = [0]
-        self._col_g: list = []
-        self._col_b: list = []
-        self._col_c: list = []
-        self._col_j: list = []
-        self._col_pbm = [] if self._pbm is not None else None
-
-    def _vstage(self, start: int) -> None:
-        """(Re-)stage the index columns for positions ``[start, len)``."""
-        (self._col_f, self._col_g, self._col_b, self._col_c, self._col_j,
-         self._col_pbm) = self.vector_engine.stage(
-            self._block, start, self._branch_len,
-            self.fetch_engine.state_engine.columns.history.value)
-
-    def _vstage_span(self, start: int) -> None:
-        """Splice the history-divergent span after an episode, in place.
-
-        Called only when the live history differs from ``col_f[start]``
-        (a non-conditional trigger left wrong-path speculative bits in
-        the register).  The divergence is transient: once
-        ``history_bits`` conditional outcomes have pushed, the stale bits
-        have shifted out of the window and the staged tail — a pure
-        function of the last ``history_bits`` outcomes — is exact again.
-        So only the span up to reconvergence (or the block end) is
-        recomputed, scalar: the span is at most a few dozen positions,
-        where numpy's fixed per-call overhead would dominate the work.
-        The hoisted column lists are mutated in place, so the fused
-        loop's locals stay valid without reloading.
-        """
-        columns = self.fetch_engine.state_engine.columns
-        h = columns.history.value
-        hist_mask = columns.history_mask
-        g_hmask = columns.gshare_history_mask
-        g_mask = columns.gshare_mask
-        b_mask = columns.bimodal_mask
-        c_hmask = columns.chooser_history_mask
-        c_mask = columns.chooser_mask
-        j_hmask = columns.jrs_history_mask
-        j_mask = columns.jrs_mask
-        col_f = self._col_f
-        col_g = self._col_g
-        col_b = self._col_b
-        col_c = self._col_c
-        col_j = self._col_j
-        col_pbm = self._col_pbm
-        if col_pbm is not None:
-            p_hmask = self._pbm._history_mask
-            p_mask = self._pbm._mask
-        block = self._block
-        pcs = block.pc
-        kinds = block.kind
-        takens = block.taken
-        cond_kind = self.vector_engine._cond_kind
-        remaining = columns.history_bits
-        stop = self._branch_len
-        p = start
-        while p < stop:
-            col_f[p] = h
-            pc_bits = pcs[p] >> 2
-            col_g[p] = (pc_bits ^ (h & g_hmask)) & g_mask
-            col_b[p] = pc_bits & b_mask
-            col_c[p] = (pc_bits ^ (h & c_hmask)) & c_mask
-            col_j[p] = (pc_bits ^ (h & j_hmask)) & j_mask
-            if col_pbm is not None:
-                col_pbm[p] = (pc_bits ^ (h & p_hmask)) & p_mask
-            if kinds[p] is cond_kind:
-                h = ((h << 1) | (1 if takens[p] else 0)) & hist_mask
-                remaining -= 1
-                if not remaining:
-                    # Reconverged: col_f[p + 1] onward already equals the
-                    # value staged from the pre-divergence history.
-                    return
-            p += 1
-        col_f[stop] = h
-
-    def _step_block(self, max_instructions: int, max_cycles: int) -> None:
-        observers = self.observers
-        fp_diag = None
-        if len(observers) > 1:
-            # Several observers share one fold per delivery.
-            if type(self._events) is list:
-                self._events = RunEventBatch(self._events)
-        else:
-            if type(self._events) is not list:
-                self._events = list(self._events)
-            if observers:
-                observer = observers[0]
-                if type(observer) is MultiPredictorObserver:
-                    pairs = observer._pairs
-                    if len(pairs) == 1 and pairs[0][0] is self._paco:
-                        fp_diag = pairs[0][1]
-        self._fp_diag = fp_diag
-        if self._branch_pos >= self._branch_len:
-            if not self._refill_block():
-                self._step_boundary_branch()
-                return
-            self._vstage(0)
-        self._vstep(self, max_instructions, max_cycles)
-
-    def _vreplay_wrongpath(self, trigger: BranchRecord) -> None:
-        self._vreplay(self, trigger)
-
-
-class VecTraceBackend(SimulationBackend):
-    """The ``trace-vec`` backend: vectorized trace replay (needs numpy).
-
-    Identical contract, parameters and defaults to :class:`TraceBackend`
-    — only the execution strategy differs, and only for predictor stacks
-    the fused plan models (see :func:`_fused_plan`); everything else
-    builds the scalar sessions, so ``trace-vec`` is *always* available
-    as a drop-in for ``trace`` once numpy is installed.
-    """
+class VecTraceBackend(TraceBackend):
+    """The ``trace-vec`` name for :class:`TraceBackend`."""
 
     name = "trace-vec"
-    supports_timing = True
-    supports_gating = True
-
-    def __init__(self, resolve_window: Optional[int] = None,
-                 mispredict_window: Optional[int] = None,
-                 block_size: Optional[int] = None) -> None:
-        self.resolve_window = resolve_window
-        self.mispredict_window = mispredict_window
-        self.block_size = block_size
 
     def build(self, workload: Workload, config: MachineConfig,
               instrument: Instrumentation) -> TraceSession:
-        if _np is None:
-            raise BackendUnavailableError(
-                "simulation backend 'trace-vec' requires numpy; install the"
-                " optional extra with: pip install repro-paco[vec]")
-        fetch_engine = build_fetch_engine(workload, config, instrument)
-        resolve_window = (self.resolve_window
-                         if self.resolve_window is not None
-                         else config.width * config.frontend_depth)
-        mispredict_window = (self.mispredict_window
-                             if self.mispredict_window is not None
-                             else 2 * config.min_mispredict_penalty)
-        gating = instrument.gating_policy
-        if gating is not None and not isinstance(gating, NoGating):
-            return GatedTraceSession(fetch_engine, config,
-                                     instrument.observers, resolve_window,
-                                     mispredict_window, gating,
-                                     block_size=self.block_size)
-        members = _fused_plan(fetch_engine)
-        if members is None:
-            return TraceSession(fetch_engine, config, instrument.observers,
-                                resolve_window, mispredict_window,
-                                block_size=self.block_size)
-        return VecTraceSession(fetch_engine, config, instrument.observers,
-                               resolve_window, mispredict_window, members,
-                               block_size=self.block_size)
+        return TraceBackend.build(self, workload, config, instrument)

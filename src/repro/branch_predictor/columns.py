@@ -14,11 +14,12 @@ attributes off the component objects:
 * the scalar :class:`~repro.branch_predictor.engine.PredictorStateEngine`
   copies the captured references into its own ``__slots__`` locals-style
   attributes (bit-identical to the previous direct capture — the engine
-  remains the parity reference for both backends);
-* the vectorized :class:`~repro.backends.vec.VectorEngine` runs numpy
-  index precomputation over the same columns *in place* — there is one
-  copy of every table, shared by both engines, so scalar and vectorized
-  spans of one simulation interleave freely.
+  remains the parity reference for the fused trace loop);
+* the fused trace loop (:mod:`repro.backends.trace`) hoists the same
+  tables and masks into loop locals, computes the table indices from a
+  plain-int history local with one shift/xor per branch, and trains the
+  tables *in place* — there is one copy of every table, shared by both,
+  so scalar and fused spans of one simulation interleave freely.
 
 The component objects remain the owners of their storage: statistics
 counters and in-place ``reset`` implementations keep working, and the

@@ -1,13 +1,14 @@
 """Regression tests for the trace backend's single drain implementation.
 
-The drain body — completing the oldest in-flight slots — exists once in
-``repro.backends.trace`` (``_DRAIN_BODY``) and is compiled into three
-consumers: the batched block step, the fused wrong-path episode, and the
-self-state ``_complete_oldest`` wrapper the scalar/gated paths use.
-These tests pin the compiled wrapper behaviour-identical to a reference
-implementation of the scalar drain semantics across gap-only, branch-only
-and mixed windows, and pin the inlined copies against the wrapper by
-running the batched and scalar sessions over the same replay.
+The general drain body — completing the oldest in-flight slots — exists
+once in ``repro.backends.trace`` (``_DRAIN_BODY``) and is compiled into
+the scalar flavour of the block step and wrong-path episode, and into
+the self-state ``_complete_oldest`` wrapper the boundary/gated paths
+use; the fused flavour compiles specialized drains.  These tests pin the
+compiled wrapper behaviour-identical to a reference implementation of
+the scalar drain semantics across gap-only, branch-only and mixed
+windows, and pin the fused loop's drains against the wrapper by running
+the fused and gated sessions over the same replay.
 """
 
 from __future__ import annotations
@@ -245,13 +246,13 @@ class TestCompleteOldest:
 
 
 class TestInlinedDrainsMatchWrapper:
-    """The compiled inline copies (block step, fused episode) against the
-    scalar paths that go through ``_complete_oldest``.
+    """The fused loop's inline drains against the scalar paths that go
+    through ``_complete_oldest``.
 
     A gated session whose policy never fires replays the same streams as
-    the base session but takes the scalar step/episode paths, so equal
-    stats and equal observer streams pin all drain consumers to one
-    behaviour.
+    the base (fused) session but takes the per-slot step/episode paths,
+    so equal stats and equal observer streams pin all drain consumers to
+    one behaviour.
     """
 
     def _run(self, spec, machine, gated, seed=6, instructions=5_000):
